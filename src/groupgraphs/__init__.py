@@ -37,9 +37,7 @@ from .claims import (
     sanity_invariants,
 )
 from .connectivity import (
-    ConnectivityValues,
     TooLargeForOracleError,
-    connectivity_values,
     edge_connectivity,
     edge_connectivity_oracle,
     vertex_connectivity,
@@ -124,9 +122,7 @@ __all__ = [
     "order_sum_graph",
     "non_inverse_graph",
     # connectivity
-    "ConnectivityValues",
     "TooLargeForOracleError",
-    "connectivity_values",
     "edge_connectivity",
     "vertex_connectivity",
     "edge_connectivity_oracle",

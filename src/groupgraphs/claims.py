@@ -573,54 +573,39 @@ def evaluate_claim(
 
 
 def _sanity_checks(a: GraphAnalysis) -> tuple[InvariantCheck, ...]:
-    checks = []
     kv, ke, delta = a.kappa_vertex, a.kappa_edge, a.shape.min_degree
-    checks.append(
+    whitney = CLAIM_REGISTRY[ClaimId.WHITNEY]
+    diam2 = CLAIM_REGISTRY[ClaimId.DIAM2_EDGE_EQ_MINDEG]
+    checks = [
         InvariantCheck(
-            "WHITNEY",
-            kv <= ke <= delta,
-            f"kappa={kv} <= kappa_edge={ke} <= min_degree={delta}",
+            "WHITNEY", whitney.lhs(a), f"kappa={kv} <= kappa_edge={ke} <= min_degree={delta}"
         )
-    )
-    if not a.shape.is_connected:
-        checks.append(InvariantCheck("DIAM2", None, "skipped: graph disconnected"))
-    elif a.shape.diameter > 2:
-        checks.append(
-            InvariantCheck("DIAM2", None, f"skipped: diameter {a.shape.diameter} > 2")
-        )
-    else:
+    ]
+    # the DIAM2 hypothesis reads only the graph, so it needs no group profile
+    if diam2.rhs(None, a):
         checks.append(
             InvariantCheck(
                 "DIAM2",
-                ke == delta,
+                diam2.lhs(a),
                 f"diameter={a.shape.diameter}: kappa_edge={ke}, min_degree={delta}",
             )
         )
+    elif not a.shape.is_connected:
+        checks.append(InvariantCheck("DIAM2", None, "skipped: graph disconnected"))
+    else:
+        checks.append(
+            InvariantCheck("DIAM2", None, f"skipped: diameter {a.shape.diameter} > 2")
+        )
     n = a.graph.n
-    if n <= EDGE_ORACLE_LIMIT:
-        oracle = edge_connectivity_oracle(a.graph)
-        checks.append(
-            InvariantCheck("ORACLE_EDGE", ke == oracle, f"flow={ke} oracle={oracle}")
-        )
-    else:
-        checks.append(
-            InvariantCheck(
-                "ORACLE_EDGE", None, f"skipped: n={n} exceeds guard {EDGE_ORACLE_LIMIT}"
-            )
-        )
-    if n <= VERTEX_ORACLE_LIMIT:
-        oracle = vertex_connectivity_oracle(a.graph)
-        checks.append(
-            InvariantCheck("ORACLE_VERTEX", kv == oracle, f"flow={kv} oracle={oracle}")
-        )
-    else:
-        checks.append(
-            InvariantCheck(
-                "ORACLE_VERTEX",
-                None,
-                f"skipped: n={n} exceeds guard {VERTEX_ORACLE_LIMIT}",
-            )
-        )
+    for name, flow, oracle, limit in (
+        ("ORACLE_EDGE", ke, edge_connectivity_oracle, EDGE_ORACLE_LIMIT),
+        ("ORACLE_VERTEX", kv, vertex_connectivity_oracle, VERTEX_ORACLE_LIMIT),
+    ):
+        if n <= limit:
+            value = oracle(a.graph)
+            checks.append(InvariantCheck(name, flow == value, f"flow={flow} oracle={value}"))
+        else:
+            checks.append(InvariantCheck(name, None, f"skipped: n={n} exceeds guard {limit}"))
     return tuple(checks)
 
 

@@ -75,8 +75,7 @@ def _add_group_kind_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    cap = args.order_cap if args.order_cap is not None else _default_order_cap()
-    group = _build(args.group, cap)
+    group = _build(args.group, args.order_cap)
     graph = build_graph(group, args.kind)
     labels = [f"{i} (o={group.element_order(i)})" for i in range(group.order)]
     wrote = False
@@ -94,8 +93,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
-    cap = args.order_cap if args.order_cap is not None else _default_order_cap()
-    group = _build(args.group, cap)
+    group = _build(args.group, args.order_cap)
     graph = build_graph(group, args.kind)
     shape = shape_profile(graph)
     print(f"group = {group.label}")
@@ -126,8 +124,7 @@ def _print_verdict(verdict, per_edge: bool) -> None:
 
 
 def _cmd_minimality(args: argparse.Namespace) -> int:
-    cap = args.order_cap if args.order_cap is not None else _default_order_cap()
-    group = _build(args.group, cap)
+    group = _build(args.group, args.order_cap)
     graph = build_graph(group, args.kind)
     if args.mode in ("edge", "both"):
         _print_verdict(is_minimally_edge_connected(graph), args.per_edge)
@@ -166,10 +163,9 @@ def _parse_claims(text: str) -> list[ClaimId]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cap = args.order_cap if args.order_cap is not None else _default_order_cap()
     corpus = _read_corpus_file(args.corpus) if args.corpus else default_corpus()
     claims = _parse_claims(args.claims) if args.claims else None
-    report = run_corpus(corpus, claims, order_cap=cap)
+    report = run_corpus(corpus, claims, order_cap=args.order_cap)
     payload = report.to_json() if args.format == "json" else report.to_csv()
     if args.out:
         Path(args.out).write_text(payload)
@@ -229,8 +225,10 @@ def _structured_cases(max_n: int) -> list[SimpleGraph]:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    if args.max_n > VERTEX_ORACLE_LIMIT:
-        raise SystemExit(f"--max-n must be <= {VERTEX_ORACLE_LIMIT} for the vertex oracle")
+    if not 2 <= args.max_n <= VERTEX_ORACLE_LIMIT:
+        raise SystemExit(f"--max-n must be in [2, {VERTEX_ORACLE_LIMIT}] for the vertex oracle")
+    if args.trials < 0:
+        raise SystemExit("--trials must be >= 0")
     rng = random.Random(args.seed)
     graphs = _structured_cases(args.max_n)
     graphs.extend(_random_graph(rng, args.max_n) for _ in range(args.trials))
@@ -302,6 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # every subcommand but oracle builds groups and takes --order-cap
+    if getattr(args, "order_cap", DEFAULT_ORDER_CAP) is None:
+        args.order_cap = _default_order_cap()
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -13,7 +13,6 @@ scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
@@ -24,13 +23,11 @@ from scipy.sparse.csgraph import maximum_flow
 from .graphs import SimpleGraph
 
 __all__ = [
-    "ConnectivityValues",
     "TooLargeForOracleError",
     "edge_connectivity",
     "vertex_connectivity",
     "edge_connectivity_oracle",
     "vertex_connectivity_oracle",
-    "connectivity_values",
     "EDGE_ORACLE_LIMIT",
     "VERTEX_ORACLE_LIMIT",
 ]
@@ -41,15 +38,6 @@ VERTEX_ORACLE_LIMIT = 12
 
 class TooLargeForOracleError(ValueError):
     """Graph exceeds the brute-force oracle's vertex guard."""
-
-
-@dataclass(frozen=True)
-class ConnectivityValues:
-    """kappa <= kappa_edge <= min_degree on every simple graph."""
-
-    kappa_vertex: int
-    kappa_edge: int
-    min_degree: int
 
 
 def _unit_capacity_csr(graph: SimpleGraph) -> csr_matrix:
@@ -146,15 +134,6 @@ def vertex_connectivity(
             if best <= floor:
                 break
     return int(best)
-
-
-def connectivity_values(graph: SimpleGraph) -> ConnectivityValues:
-    """Compute kappa, kappa', and the minimum degree together."""
-    return ConnectivityValues(
-        kappa_vertex=vertex_connectivity(graph),
-        kappa_edge=edge_connectivity(graph),
-        min_degree=int(graph.degrees().min()),
-    )
 
 
 def edge_connectivity_oracle(graph: SimpleGraph, *, limit: int = EDGE_ORACLE_LIMIT) -> int:

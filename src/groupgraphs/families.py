@@ -11,10 +11,17 @@ import math
 from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .groups import FiniteGroup, from_cayley_table, is_prime, parse_cayley_table_text
+from .groups import (
+    FiniteGroup,
+    _group_from_rows,
+    _split_table_text,
+    from_cayley_table,
+    is_prime,
+)
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -113,35 +120,41 @@ def parse_group_spec(text: str) -> FamilySpec:
         params = tuple(int(tok) for tok in rest.split(","))
     except ValueError as exc:
         raise InvalidParameterError(f"non-integer parameter in spec: {text!r}") from exc
-    arity = {"cyclic": 1, "dihedral": 1, "dicyclic": 1, "symmetric": 1, "ea": 2}
-    if kind not in arity:
-        raise InvalidParameterError(f"unknown family {kind!r} in spec {text!r}")
-    if len(params) != arity[kind]:
+    spec = FamilySpec(kind, params)
+    _family(spec)
+    return spec
+
+
+def _family(spec: FamilySpec) -> _Family:
+    """The family table entry for a plain spec, after checking kind and arity."""
+    if spec.kind not in _FAMILIES:
+        raise InvalidParameterError(f"unknown family {spec.kind!r} in spec {spec.label()!r}")
+    family = _FAMILIES[spec.kind]
+    if len(spec.params) != family.arity:
         raise InvalidParameterError(
-            f"{kind} takes {arity[kind]} parameter(s), got {len(params)}: {text!r}"
+            f"{spec.kind} takes {family.arity} parameter(s), got {len(spec.params)}: "
+            f"{spec.label()!r}"
         )
-    return FamilySpec(kind, params)
+    return family
 
 
 def _spec_order(spec: FamilySpec) -> int:
-    """Group order implied by the spec, computed before any table is built."""
-    if spec.kind == "cyclic":
-        return spec.params[0]
-    if spec.kind == "dihedral":
-        return 2 * spec.params[0]
-    if spec.kind == "dicyclic":
-        return 4 * spec.params[0]
-    if spec.kind == "symmetric":
-        return math.factorial(spec.params[0])
-    if spec.kind == "ea":
-        p, k = spec.params
-        return p**k
+    """Group order implied by the spec, computed before any table is built.
+
+    Raises InvalidParameterError for an unknown kind, a wrong parameter count
+    or parameters out of range.
+    """
+    label = spec.label()
     if spec.kind == "product":
-        out = 1
-        for f in spec.factors:
-            out *= _spec_order(f)
-        return out
-    raise AssertionError(spec.kind)
+        if len(spec.factors) < 2:
+            raise InvalidParameterError(f"{label}: product needs >= 2 factors")
+        return math.prod(_spec_order(f) for f in spec.factors)
+    family = _family(spec)
+    if any(p < 1 for p in spec.params):
+        raise InvalidParameterError(f"{label}: parameters must be positive")
+    if spec.kind == "ea" and not is_prime(spec.params[0]):
+        raise InvalidParameterError(f"{label}: {spec.params[0]} is not prime")
+    return family.order(*spec.params)
 
 
 def _cyclic_table(n: int) -> np.ndarray:
@@ -211,54 +224,48 @@ def _product_table(tables: list[np.ndarray]) -> np.ndarray:
     return table
 
 
+class _Family(NamedTuple):
+    arity: int
+    order: Callable[..., int]  # group order from the parameters
+    table: Callable[..., np.ndarray]  # Cayley table from the parameters
+
+
+# the plain families; product and file specs are built from these and from
+# table files
+_FAMILIES: dict[str, _Family] = {
+    "cyclic": _Family(1, lambda n: n, _cyclic_table),
+    "dihedral": _Family(1, lambda n: 2 * n, _dihedral_table),
+    "dicyclic": _Family(1, lambda n: 4 * n, _dicyclic_table),
+    "symmetric": _Family(1, math.factorial, _symmetric_table),
+    "ea": _Family(2, lambda p, k: p**k, _elementary_abelian_table),
+}
+
+
 def build_family(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Build the group named by the spec, validating it like any import.
 
     Raises InvalidParameterError for bad parameters and OrderCapExceededError
-    when the resulting order would pass ``order_cap``.
+    when the resulting order would pass ``order_cap``; a table file is checked
+    against the cap on its header's n, before any of its rows.
     """
     label = spec.label()
     if spec.kind == "file":
-        path = Path(spec.path)
         try:
-            text = path.read_text()
+            text = Path(spec.path).read_text()
         except OSError as exc:
             raise ValueError(f"{label}: cannot read table file: {exc}") from exc
-        group = parse_cayley_table_text(text, label=label)
-        if group.order > order_cap:
-            raise OrderCapExceededError(
-                f"{label}: order {group.order} exceeds cap {order_cap}"
-            )
-        return group
-
-    if spec.kind == "product":
-        if len(spec.factors) < 2:
-            raise InvalidParameterError(f"{label}: product needs >= 2 factors")
-    elif any(p < 1 for p in spec.params):
-        raise InvalidParameterError(f"{label}: parameters must be positive")
-    if spec.kind == "ea":
-        p, _ = spec.params
-        if not is_prime(p):
-            raise InvalidParameterError(f"{label}: {p} is not prime")
-
-    order = _spec_order(spec)
+        order, rows = _split_table_text(text, label)
+    else:
+        order = _spec_order(spec)
     if order > order_cap:
         raise OrderCapExceededError(f"{label}: order {order} exceeds cap {order_cap}")
 
-    if spec.kind == "cyclic":
-        table = _cyclic_table(spec.params[0])
-    elif spec.kind == "dihedral":
-        table = _dihedral_table(spec.params[0])
-    elif spec.kind == "dicyclic":
-        table = _dicyclic_table(spec.params[0])
-    elif spec.kind == "symmetric":
-        table = _symmetric_table(spec.params[0])
-    elif spec.kind == "ea":
-        table = _elementary_abelian_table(*spec.params)
-    elif spec.kind == "product":
+    if spec.kind == "file":
+        return _group_from_rows(order, rows, label)
+    if spec.kind == "product":
         table = _product_table(
             [build_family(f, order_cap=order_cap).table for f in spec.factors]
         )
     else:
-        raise InvalidParameterError(f"unknown family kind {spec.kind!r}")
+        table = _FAMILIES[spec.kind].table(*spec.params)
     return from_cayley_table(table, label=label)

@@ -80,9 +80,6 @@ class SimpleGraph:
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
 
-    def neighbors(self, u: int) -> list[int]:
-        return [int(v) for v in np.flatnonzero(self.adjacency[u])]
-
     def delete_edge(self, u: int, v: int) -> "SimpleGraph":
         """New graph with edge {u, v} removed; the original is untouched."""
         if u == v or not self.adjacency[u, v]:

@@ -123,7 +123,10 @@ class FiniteGroup:
     ``table[i, j]`` is the index of ``x_i * x_j``; index 0 is the identity.
     Construction validates all four group axioms (closure, identity, unique
     two-sided inverses, associativity by full triple enumeration), so any
-    instance can be trusted downstream.  Instances are immutable.
+    instance can be trusted downstream.  If the two-sided identity sits at
+    some index e != 0, the constructor swaps elements 0 and e before checking
+    inverses, so that downstream vertex numbering is canonical.  Instances are
+    immutable.
     """
 
     def __init__(self, table: np.ndarray, label: str = "G"):
@@ -139,10 +142,17 @@ class FiniteGroup:
             raise NotClosedError(
                 f"{label}: entry table[{i}][{j}] = {int(table[i, j])} not in [0, {n})"
             )
-        if int(table[0, 0]) != 0 or not np.array_equal(table[0], np.arange(n)) or not np.array_equal(
-            table[:, 0], np.arange(n)
-        ):
-            raise NoIdentityError(f"{label}: index 0 is not a two-sided identity")
+        # relocation indexes by table entries, so it must follow the closure check
+        idx = np.arange(n)
+        for identity in range(n):
+            if np.array_equal(table[identity], idx) and np.array_equal(table[:, identity], idx):
+                break
+        else:
+            raise NoIdentityError(f"{label}: no element acts as a two-sided identity")
+        if identity != 0:
+            swap = idx.copy()
+            swap[0], swap[identity] = identity, 0
+            table = swap[table[np.ix_(swap, swap)]]
 
         inverse = np.full(n, -1, dtype=np.int64)
         for i in range(n):
@@ -184,11 +194,6 @@ class FiniteGroup:
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, order={self.order})"
 
-    def mul(self, i: int, j: int) -> int:
-        self._check_index(i)
-        self._check_index(j)
-        return int(self.table[i, j])
-
     def inverse(self, i: int) -> int:
         """Index of the unique j with x_i * x_j = identity."""
         self._check_index(i)
@@ -221,34 +226,25 @@ class FiniteGroup:
         self._check_index(i)
         return set(int(j) for j in np.flatnonzero(self.table[i] == self.table[:, i]))
 
-    def conjugacy_classes(self) -> list[set[int]]:
-        """Partition of the element indices into conjugacy classes, 0's class first."""
-        t, inv = self.table, self.inverses
-        seen = np.zeros(self.order, dtype=bool)
-        classes = []
-        for x in range(self.order):
-            if seen[x]:
-                continue
-            orbit = {int(t[t[g, x], inv[g]]) for g in range(self.order)}
-            for y in orbit:
-                seen[y] = True
-            classes.append(orbit)
-        return classes
-
     def class_equation(self) -> ClassEquation:
         """Check |G| = |Z(G)| + sum over non-central classes of |G| / |C_G(x)|.
 
         A failure here signals an internal bug, never bad input: every
         constructed table has already passed the axiom checks.
         """
+        t, inv = self.table, self.inverses
         center = self.center()
+        seen = np.zeros(self.order, dtype=bool)
         sizes = []
-        for cls in self.conjugacy_classes():
-            rep = min(cls)
-            if rep in center:
+        for x in range(self.order):
+            if seen[x]:
+                continue
+            cls = {int(t[t[g, x], inv[g]]) for g in range(self.order)}
+            seen[list(cls)] = True
+            if x in center:
                 continue
             sizes.append(len(cls))
-            if len(cls) * len(self.centralizer(rep)) != self.order:
+            if len(cls) * len(self.centralizer(x)) != self.order:
                 return ClassEquation(self.order, len(center), tuple(sorted(sizes)), False)
         sizes = tuple(sorted(sizes))
         holds = self.order == len(center) + sum(sizes)
@@ -282,37 +278,11 @@ class FiniteGroup:
 
 
 def from_cayley_table(raw: Sequence[Sequence[int]] | np.ndarray, label: str = "G") -> FiniteGroup:
-    """Validate a raw index table and return the group, identity relocated to 0.
-
-    Accepts any square array of indices; if the two-sided identity sits at some
-    index e != 0, elements 0 and e are swapped before validation so that
-    downstream vertex numbering is canonical.
-    """
+    """Convert a raw index table to integers and validate it as a FiniteGroup."""
     try:
         table = np.array(raw, dtype=np.int64)
     except ValueError as exc:
         raise NotClosedError(f"{label}: not a rectangular integer table: {exc}") from exc
-    if table.ndim != 2 or table.shape[0] != table.shape[1]:
-        raise NotClosedError(f"{label}: table must be square, got shape {table.shape}")
-    n = table.shape[0]
-    bad = np.argwhere((table < 0) | (table >= n))
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
-        raise NotClosedError(
-            f"{label}: entry table[{i}][{j}] = {int(table[i, j])} not in [0, {n})"
-        )
-    identity = None
-    idx = np.arange(n)
-    for e in range(n):
-        if np.array_equal(table[e], idx) and np.array_equal(table[:, e], idx):
-            identity = e
-            break
-    if identity is None:
-        raise NoIdentityError(f"{label}: no element acts as a two-sided identity")
-    if identity != 0:
-        swap = idx.copy()
-        swap[0], swap[identity] = identity, 0
-        table = swap[table[np.ix_(swap, swap)]]
     return FiniteGroup(table, label=label)
 
 
@@ -323,30 +293,43 @@ def parse_cayley_table_text(text: str, label: str = "G") -> FiniteGroup:
     indices each.  '#' starts a line comment.  Ragged or missing rows are
     rejected before any group validation runs.
     """
-    rows = []
+    return _group_from_rows(*_split_table_text(text, label), label)
+
+
+def _split_table_text(text: str, label: str) -> tuple[int, list[tuple[int, str]]]:
+    """The header's n and the (line number, text) of each row after it."""
+    lines = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        try:
-            values = [int(tok) for tok in stripped.split()]
-        except ValueError as exc:
-            raise ValueError(f"{label}: line {lineno}: not an integer row: {stripped!r}") from exc
-        rows.append((lineno, values))
-    if not rows:
+        if stripped:
+            lines.append((lineno, stripped))
+    if not lines:
         raise ValueError(f"{label}: empty table file")
-    header_line, header = rows[0]
-    if len(header) != 1 or header[0] < 1:
+    header_line, header = lines[0]
+    values = _int_row(header_line, header, label)
+    if len(values) != 1 or values[0] < 1:
         raise ValueError(
             f"{label}: line {header_line}: expected a single positive integer n"
         )
-    n = header[0]
-    body = rows[1:]
+    return values[0], lines[1:]
+
+
+def _int_row(lineno: int, line: str, label: str) -> list[int]:
+    try:
+        return [int(tok) for tok in line.split()]
+    except ValueError as exc:
+        raise ValueError(f"{label}: line {lineno}: not an integer row: {line!r}") from exc
+
+
+def _group_from_rows(n: int, body: list[tuple[int, str]], label: str) -> FiniteGroup:
     if len(body) != n:
         raise ValueError(f"{label}: expected {n} table rows, found {len(body)}")
-    for lineno, row in body:
+    rows = []
+    for lineno, line in body:
+        row = _int_row(lineno, line, label)
         if len(row) != n:
             raise ValueError(
                 f"{label}: line {lineno}: expected {n} entries, found {len(row)}"
             )
-    return from_cayley_table([row for _, row in body], label=label)
+        rows.append(row)
+    return from_cayley_table(rows, label=label)

@@ -164,8 +164,14 @@ class TestOracle:
         assert first == second
 
     def test_max_n_guarded(self):
-        with pytest.raises(SystemExit):
-            run_cli("oracle", "--max-n", "13")
+        for argv in (
+            ("--max-n", "13"),
+            ("--max-n", "1"),
+            ("--trials", "-3", "--max-n", "3"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("oracle", *argv)
+            assert isinstance(exc.value.code, str)  # one-line message, exit 1
 
 
 class TestErrors:

@@ -10,7 +10,6 @@ from groupgraphs import (
     TooLargeForOracleError,
     commuting_graph,
     complete_graph,
-    connectivity_values,
     cycle_graph,
     edge_connectivity,
     edge_connectivity_oracle,
@@ -102,8 +101,8 @@ class TestOracles:
 class TestConnectivityValues:
     def test_whitney_order(self, q8):
         for build in (commuting_graph, non_inverse_graph, order_sum_graph):
-            vals = connectivity_values(build(q8))
-            assert vals.kappa_vertex <= vals.kappa_edge <= vals.min_degree
+            g = build(q8)
+            assert vertex_connectivity(g) <= edge_connectivity(g) <= g.degrees().min()
 
 
 @settings(max_examples=80, deadline=None)
@@ -123,8 +122,7 @@ def test_package_oracles_agree_with_flow(g):
 @settings(max_examples=50, deadline=None)
 @given(small_graphs)
 def test_whitney_chain(g):
-    vals = connectivity_values(g)
-    assert vals.kappa_vertex <= vals.kappa_edge <= vals.min_degree
+    assert vertex_connectivity(g) <= edge_connectivity(g) <= g.degrees().min()
 
 
 @settings(max_examples=50, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 from groupgraphs import (
     FamilySpec,
     InvalidParameterError,
+    NotAssociativeError,
     OrderCapExceededError,
     build_family,
     parse_group_spec,
@@ -107,6 +108,9 @@ class TestBuilders:
             FamilySpec.dihedral(-1),
             FamilySpec.elementary_abelian(4, 2),  # 4 not prime
             FamilySpec.elementary_abelian(2, 0),
+            FamilySpec("weird", (3,)),  # unknown kind
+            FamilySpec("cyclic", ()),  # wrong parameter count
+            FamilySpec("ea", (2,)),  # wrong parameter count
         ],
     )
     def test_invalid_parameters(self, spec):
@@ -157,3 +161,16 @@ class TestTableFiles:
         path.write_text("5\n" + "\n".join(rows) + "\n")
         with pytest.raises(OrderCapExceededError):
             build_family(FamilySpec.from_file(path), order_cap=4)
+
+    def test_cap_checked_on_header_before_validation(self, tmp_path):
+        # closed, with identity and inverses, but not associative: without
+        # the header check this fails the O(n^3) associativity check instead
+        n = 201
+        table = [[(i + j) % n for j in range(n)] for i in range(n)]
+        table[1][2] = 4
+        path = tmp_path / "big.txt"
+        path.write_text(f"{n}\n" + "\n".join(" ".join(map(str, row)) for row in table) + "\n")
+        with pytest.raises(OrderCapExceededError, match="order 201 exceeds cap 200"):
+            build_family(FamilySpec.from_file(path))
+        with pytest.raises(NotAssociativeError):
+            build_family(FamilySpec.from_file(path), order_cap=n)

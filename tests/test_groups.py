@@ -52,6 +52,10 @@ class TestValidation:
     def test_out_of_range_entry(self):
         with pytest.raises(NotClosedError, match=r"table\[1\]\[1\] = 9"):
             from_cayley_table([[0, 1, 2], [1, 9, 0], [2, 0, 1]])
+        # identity at index 2: closure is checked before the identity is
+        # relocated, which would otherwise index with the negative entry
+        with pytest.raises(NotClosedError, match=r"table\[1\]\[1\] = -1"):
+            from_cayley_table([[1, 2, 0], [2, -1, 1], [0, 1, 2]])
 
     def test_non_square(self):
         with pytest.raises(NotClosedError, match="square"):
