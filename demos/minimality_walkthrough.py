@@ -10,7 +10,7 @@ instructive cases:
     between the two rotations never matters for edge connectivity.
 
 It finishes with the dominating-vertex shortcut and a check that the shortcut
-and the exhaustive sweep agree.
+and the per-edge sweep agree.
 
 Run:  python demos/minimality_walkthrough.py
 """

@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_group_kind_args(p_inv)
     p_inv.set_defaults(func=_cmd_invariants)
 
-    p_min = sub.add_parser("minimality", help="run the per-edge deletion sweep(s)")
+    p_min = sub.add_parser("minimality", help="decide minimality edge by edge, one local flow per edge")
     _add_group_kind_args(p_min)
     p_min.add_argument("--mode", choices=("edge", "vertex", "both"), default="both")
     p_min.add_argument(

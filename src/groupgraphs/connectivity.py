@@ -44,35 +44,23 @@ def _unit_capacity_csr(graph: SimpleGraph) -> csr_matrix:
     return csr_matrix(graph.adjacency.astype(np.int32))
 
 
-def edge_connectivity(
-    graph: SimpleGraph,
-    *,
-    lower_bound: Optional[int] = None,
-    prefer: tuple[int, ...] = (),
-) -> int:
+def edge_connectivity(graph: SimpleGraph) -> int:
     """Size of a minimum edge cut, via max-flow from vertex 0 to every sink.
 
     Each undirected edge carries capacity 1 in both directions; the minimum
-    over sinks of max-flow(0 -> t) is the global minimum cut.  When the caller
-    can guarantee the true value is at least ``lower_bound`` (as the deletion
-    sweeps can), the sink scan stops early once that bound is reached; the
-    returned value is exact either way.  ``prefer`` lists sinks to try first,
-    which only affects how soon the scan can stop.
+    over sinks of max-flow(0 -> t) is the global minimum cut.  The scan stops
+    early at 1, the least value a connected graph can have.
     """
     n = graph.n
     if n == 1 or not graph.is_connected():
         return 0
     cap = _unit_capacity_csr(graph)
-    floor = max(1, lower_bound if lower_bound is not None else 1)
-    sinks = [t for t in prefer if t != 0]
-    seen = set(sinks)
-    sinks.extend(t for t in range(1, n) if t not in seen)
     best: Optional[int] = None
-    for t in sinks:
+    for t in range(1, n):
         flow = int(maximum_flow(cap, 0, t, method="dinic").flow_value)
         if best is None or flow < best:
             best = flow
-            if best <= floor:
+            if best <= 1:
                 break
     return int(best)
 
@@ -92,46 +80,29 @@ def _split_capacity_csr(graph: SimpleGraph) -> csr_matrix:
     return csr_matrix(cap)
 
 
-def vertex_connectivity(
-    graph: SimpleGraph,
-    *,
-    lower_bound: Optional[int] = None,
-    prefer: tuple[tuple[int, int], ...] = (),
-) -> int:
+def vertex_connectivity(graph: SimpleGraph) -> int:
     """Size of a minimum vertex cut-set; n - 1 for complete graphs.
 
     For every non-adjacent pair (u, v), scanned lexicographically, computes
     the vertex-split max-flow from u's exit to v's entry; the minimum over
-    pairs is the vertex connectivity.  ``lower_bound`` and ``prefer`` behave
-    exactly as in :func:`edge_connectivity`, with ``prefer`` holding
-    non-adjacent pairs to scan first.
+    pairs is the vertex connectivity.  As in :func:`edge_connectivity`, the
+    scan stops early at 1.
     """
     n = graph.n
     if n == 1 or not graph.is_connected():
         return 0
-    nonedges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for p in prefer:
-        u, v = min(p), max(p)
-        if u != v and not graph.adjacency[u, v] and (u, v) not in seen:
-            nonedges.append((u, v))
-            seen.add((u, v))
-    nonedges.extend(
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if not graph.adjacency[u, v] and (u, v) not in seen
-    )
+    nonedges = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if not graph.adjacency[u, v]
+    ]
     if not nonedges:
         return n - 1
     cap = _split_capacity_csr(graph)
-    floor = max(1, lower_bound if lower_bound is not None else 1)
     best: Optional[int] = None
     for u, v in nonedges:
         flow = int(maximum_flow(cap, n + u, v, method="dinic").flow_value)
         if best is None or flow < best:
             best = flow
-            if best <= floor:
+            if best <= 1:
                 break
     return int(best)
 

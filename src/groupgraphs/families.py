@@ -7,11 +7,10 @@ Spec strings follow the CLI grammar: ``cyclic:6``, ``dihedral:5``,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations, repeat
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -138,23 +137,36 @@ def _family(spec: FamilySpec) -> _Family:
     return family
 
 
-def _spec_order(spec: FamilySpec) -> int:
-    """Group order implied by the spec, computed before any table is built.
+def _order_factors(spec: FamilySpec) -> Iterable[int]:
+    """Factors whose product is the group order implied by the spec.
 
     Raises InvalidParameterError for an unknown kind, a wrong parameter count
-    or parameters out of range.
+    or parameters out of range, checking every factor of a product before
+    returning.
     """
     label = spec.label()
     if spec.kind == "product":
         if len(spec.factors) < 2:
             raise InvalidParameterError(f"{label}: product needs >= 2 factors")
-        return math.prod(_spec_order(f) for f in spec.factors)
+        return chain.from_iterable([_order_factors(f) for f in spec.factors])
     family = _family(spec)
     if any(p < 1 for p in spec.params):
         raise InvalidParameterError(f"{label}: parameters must be positive")
     if spec.kind == "ea" and not is_prime(spec.params[0]):
         raise InvalidParameterError(f"{label}: {spec.params[0]} is not prime")
-    return family.order(*spec.params)
+    return family.order_factors(*spec.params)
+
+
+def _check_order_cap(label: str, factors: Iterable[int], order_cap: int) -> None:
+    """Multiply the order factors and raise OrderCapExceededError as soon as
+    the partial product passes the cap, so a huge order is never formed."""
+    factors = iter(factors)
+    order = 1
+    for factor in factors:
+        order *= factor
+        if order > order_cap:
+            bound = str(order) if next(factors, None) is None else f"at least {order}"
+            raise OrderCapExceededError(f"{label}: order {bound} exceeds cap {order_cap}")
 
 
 def _cyclic_table(n: int) -> np.ndarray:
@@ -226,18 +238,18 @@ def _product_table(tables: list[np.ndarray]) -> np.ndarray:
 
 class _Family(NamedTuple):
     arity: int
-    order: Callable[..., int]  # group order from the parameters
+    order_factors: Callable[..., Iterable[int]]  # their product is the group order
     table: Callable[..., np.ndarray]  # Cayley table from the parameters
 
 
 # the plain families; product and file specs are built from these and from
 # table files
 _FAMILIES: dict[str, _Family] = {
-    "cyclic": _Family(1, lambda n: n, _cyclic_table),
-    "dihedral": _Family(1, lambda n: 2 * n, _dihedral_table),
-    "dicyclic": _Family(1, lambda n: 4 * n, _dicyclic_table),
-    "symmetric": _Family(1, math.factorial, _symmetric_table),
-    "ea": _Family(2, lambda p, k: p**k, _elementary_abelian_table),
+    "cyclic": _Family(1, lambda n: (n,), _cyclic_table),
+    "dihedral": _Family(1, lambda n: (2, n), _dihedral_table),
+    "dicyclic": _Family(1, lambda n: (4, n), _dicyclic_table),
+    "symmetric": _Family(1, lambda n: range(2, n + 1), _symmetric_table),
+    "ea": _Family(2, lambda p, k: repeat(p, k), _elementary_abelian_table),
 }
 
 
@@ -250,18 +262,17 @@ def build_family(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> Finite
     """
     label = spec.label()
     if spec.kind == "file":
+        if not spec.path:
+            raise InvalidParameterError(f"{label}: file spec needs a path")
         try:
             text = Path(spec.path).read_text()
         except OSError as exc:
             raise ValueError(f"{label}: cannot read table file: {exc}") from exc
         order, rows = _split_table_text(text, label)
-    else:
-        order = _spec_order(spec)
-    if order > order_cap:
-        raise OrderCapExceededError(f"{label}: order {order} exceeds cap {order_cap}")
-
-    if spec.kind == "file":
+        _check_order_cap(label, (order,), order_cap)
         return _group_from_rows(order, rows, label)
+
+    _check_order_cap(label, _order_factors(spec), order_cap)
     if spec.kind == "product":
         table = _product_table(
             [build_family(f, order_cap=order_cap).table for f in spec.factors]

@@ -97,16 +97,17 @@ def brute_vertex_connectivity(graph):
 
 
 def brute_minimality(graph, connectivity_fn):
-    """Deletion sweep driven by an arbitrary connectivity function."""
+    """Deletion sweep driven by an arbitrary connectivity function.
+
+    Returns ``(holds, violating, per_edge_values)``: the connectivity of the
+    graph minus each edge, recomputed from scratch, in canonical edge order.
+    """
     if graph.n < 2 or not graph.is_connected():
-        return False, ()
+        return False, (), {}
     base = connectivity_fn(graph)
-    violating = tuple(
-        edge
-        for edge in graph.edge_list
-        if connectivity_fn(graph.delete_edge(*edge)) != base - 1
-    )
-    return not violating, violating
+    values = {edge: connectivity_fn(graph.delete_edge(*edge)) for edge in graph.edge_list}
+    violating = tuple(edge for edge, value in values.items() if value != base - 1)
+    return not violating, violating, values
 
 
 # --- fixtures ----------------------------------------------------------------

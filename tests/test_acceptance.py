@@ -144,13 +144,13 @@ def test_criterion_5_dominating_criterion_agreement(full_run):
 
 def _oracle_backed_edge_holds(group, kind):
     graph = build_graph(group, kind)
-    holds, _ = brute_minimality(graph, brute_edge_connectivity)
+    holds, _, _ = brute_minimality(graph, brute_edge_connectivity)
     return holds
 
 
 def _oracle_backed_vertex_holds(group, kind):
     graph = build_graph(group, kind)
-    holds, _ = brute_minimality(graph, brute_vertex_connectivity)
+    holds, _, _ = brute_minimality(graph, brute_vertex_connectivity)
     return holds
 
 

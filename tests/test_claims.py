@@ -81,7 +81,7 @@ class TestEvaluateClaim:
         assert v.rhs is True  # 4 = 2^2
         # lhs comes from the sweep; confirm it independently with the
         # brute-force vertex connectivity
-        holds, _ = brute_minimality(order_sum_graph(z4), brute_vertex_connectivity)
+        holds, _, _ = brute_minimality(order_sum_graph(z4), brute_vertex_connectivity)
         assert v.lhs == holds == False
         assert v.consistent is False
 

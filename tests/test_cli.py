@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour, exercised in-process."""
 
 import json
+import time
 
 import jsonschema
 import pytest
@@ -182,6 +183,17 @@ class TestErrors:
     def test_order_cap_exceeded(self, capsys):
         assert run_cli("invariants", "--group", "symmetric:6", "--kind", "commuting") == 1
         assert "exceeds cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, bound", [("symmetric:300000", 720), ("ea:2,3000000", 256)]
+    )
+    def test_huge_order_rejected_without_forming_it(self, capsys, spec, bound):
+        start = time.perf_counter()
+        assert run_cli("invariants", "--group", spec, "--kind", "commuting") == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: {spec}: order at least {bound} exceeds cap 200\n"
+        )
 
     def test_order_cap_flag(self, capsys):
         assert (

@@ -135,14 +135,3 @@ def test_single_deletion_bounds(g, data):
     ke, kv = edge_connectivity(g), vertex_connectivity(g)
     assert ke - 1 <= edge_connectivity(h) <= ke
     assert kv - 1 <= vertex_connectivity(h) <= kv
-
-
-@settings(max_examples=50, deadline=None)
-@given(small_graphs)
-def test_hints_do_not_change_results(g):
-    base = edge_connectivity(g)
-    assert edge_connectivity(g, prefer=(g.n - 1, 1)) == base
-    assert edge_connectivity(g, lower_bound=max(0, base - 1)) == base
-    basev = vertex_connectivity(g)
-    assert vertex_connectivity(g, prefer=((0, g.n - 1),)) == basev
-    assert vertex_connectivity(g, lower_bound=max(0, basev - 1)) == basev

@@ -111,6 +111,7 @@ class TestBuilders:
             FamilySpec("weird", (3,)),  # unknown kind
             FamilySpec("cyclic", ()),  # wrong parameter count
             FamilySpec("ea", (2,)),  # wrong parameter count
+            FamilySpec("file"),  # no path
         ],
     )
     def test_invalid_parameters(self, spec):
