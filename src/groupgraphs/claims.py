@@ -96,9 +96,8 @@ class ClaimId(str, Enum):
 class GraphAnalysis:
     """Lazy per-graph cache of everything the claim registry can ask for."""
 
-    def __init__(self, graph: SimpleGraph, kind: Optional[str] = None):
+    def __init__(self, graph: SimpleGraph):
         self.graph = graph
-        self.kind = kind or graph.kind_tag or "graph"
 
     @cached_property
     def shape(self) -> GraphShape:
@@ -147,7 +146,7 @@ class GroupAnalysis:
 
     def analysis(self, kind: str) -> GraphAnalysis:
         if kind not in self._graphs:
-            self._graphs[kind] = GraphAnalysis(build_graph(self.group, kind), kind)
+            self._graphs[kind] = GraphAnalysis(build_graph(self.group, kind))
         return self._graphs[kind]
 
 
@@ -163,9 +162,7 @@ class ClaimDefinition:
     statement: str
     kinds: tuple[str, ...]
     form: str  # "iff" | "if" | "holds"
-    lhs_label: str
     lhs: LhsFn
-    rhs_label: Optional[str] = None
     rhs: Optional[RhsFn] = None
     skip: Optional[SkipFn] = None
     evidence: EvidenceFn = lambda a: {}
@@ -288,9 +285,7 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         "equal to its minimum degree",
         kinds=ALL_KINDS,
         form="if",
-        lhs_label="edge connectivity equals minimum degree",
         lhs=lambda a: a.kappa_edge == a.shape.min_degree,
-        rhs_label="connected with diameter <= 2",
         rhs=lambda p, a: a.shape.is_connected
         and a.shape.diameter is not None
         and a.shape.diameter <= 2,
@@ -301,7 +296,6 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         statement="vertex connectivity <= edge connectivity <= minimum degree",
         kinds=ALL_KINDS,
         form="holds",
-        lhs_label="kappa <= kappa' <= min degree",
         lhs=lambda a: a.kappa_vertex <= a.kappa_edge <= a.shape.min_degree,
         evidence=_merge(_shape_evidence, _connectivity_evidence),
     ),
@@ -311,9 +305,7 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         "and minimally connected",
         kinds=ALL_KINDS,
         form="if",
-        lhs_label="both deletion sweeps hold",
         lhs=lambda a: a.edge_sweep.holds and a.vertex_sweep.holds,
-        rhs_label="graph is complete or a star",
         rhs=lambda p, a: a.shape.is_complete or a.shape.is_star,
         skip=_skip_trivial_graph,
         evidence=_merge(_shape_evidence, _edge_sweep_evidence, _vertex_sweep_evidence),
@@ -323,9 +315,7 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         statement="the commuting graph is complete iff the group is abelian",
         kinds=("commuting",),
         form="iff",
-        lhs_label="commuting graph complete",
         lhs=lambda a: a.shape.is_complete,
-        rhs_label="group abelian",
         rhs=lambda p, a: p.is_abelian,
         evidence=_shape_evidence,
     ),
@@ -334,9 +324,7 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         statement="the co-prime graph is complete iff the group order is at most 2",
         kinds=("coprime",),
         form="iff",
-        lhs_label="co-prime graph complete",
         lhs=lambda a: a.shape.is_complete,
-        rhs_label="|G| <= 2",
         rhs=lambda p, a: p.order <= 2,
         evidence=_shape_evidence,
     ),
@@ -346,9 +334,7 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         "prime order",
         kinds=("ordersum",),
         form="iff",
-        lhs_label="order-sum graph complete",
         lhs=lambda a: a.shape.is_complete,
-        rhs_label="cyclic of prime order",
         rhs=lambda p, a: p.is_cyclic and p.is_prime_order,
         evidence=_shape_evidence,
     ),
@@ -358,9 +344,7 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         "self-inverse",
         kinds=("noninverse",),
         form="iff",
-        lhs_label="non-inverse graph complete",
         lhs=lambda a: a.shape.is_complete,
-        rhs_label="every element self-inverse (exponent <= 2)",
         rhs=lambda p, a: p.all_nonidentity_self_inverse,
         evidence=_shape_evidence,
     ),
@@ -370,7 +354,6 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         "always equal",
         kinds=("noninverse",),
         form="holds",
-        lhs_label="kappa equals kappa'",
         lhs=lambda a: a.kappa_vertex == a.kappa_edge,
         evidence=_connectivity_evidence,
     ),
@@ -381,9 +364,7 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         "x is regular",
         kinds=ALL_KINDS,
         form="iff",
-        lhs_label="edge-deletion sweep holds",
         lhs=lambda a: a.edge_sweep.holds,
-        rhs_label="unique dominating vertex with regular remainder",
         rhs=lambda p, a: bool(a.criterion.answer),
         skip=_skip_criterion,
         evidence=_merge(_shape_evidence, _edge_sweep_evidence, _criterion_evidence),
@@ -393,9 +374,7 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         statement="the order-sum graph of a non-cyclic group has no edges",
         kinds=("ordersum",),
         form="if",
-        lhs_label="order-sum graph edgeless",
         lhs=lambda a: a.is_null,
-        rhs_label="group non-cyclic",
         rhs=lambda p, a: not p.is_cyclic,
         evidence=_shape_evidence,
     ),
@@ -405,9 +384,7 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         "connected iff the order is prime",
         kinds=("ordersum",),
         form="iff",
-        lhs_label="order-sum graph minimally edge connected",
         lhs=lambda a: a.edge_sweep.holds,
-        rhs_label="group order prime",
         rhs=lambda p, a: p.is_prime_order,
         skip=lambda p, a: None if p.is_cyclic else "claim scoped to cyclic groups",
         evidence=_merge(_shape_evidence, _edge_sweep_evidence),
@@ -418,9 +395,7 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         "non-identity elements are all self-inverse or all non-self-inverse",
         kinds=("noninverse",),
         form="iff",
-        lhs_label="non-inverse graph minimally edge connected",
         lhs=lambda a: a.edge_sweep.holds,
-        rhs_label="uniform inverse behaviour off the identity",
         rhs=_uniform_inverse,
         evidence=_merge(_shape_evidence, _edge_sweep_evidence),
     ),
@@ -430,9 +405,7 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         "is abelian",
         kinds=("commuting",),
         form="iff",
-        lhs_label="commuting graph minimally edge connected",
         lhs=lambda a: a.edge_sweep.holds,
-        rhs_label="group abelian",
         rhs=lambda p, a: p.is_abelian,
         evidence=_merge(_shape_evidence, _edge_sweep_evidence),
     ),
@@ -442,9 +415,7 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         "abelian",
         kinds=("commuting",),
         form="iff",
-        lhs_label="commuting graph minimally connected",
         lhs=lambda a: a.vertex_sweep.holds,
-        rhs_label="group abelian",
         rhs=lambda p, a: p.is_abelian,
         evidence=_merge(_shape_evidence, _vertex_sweep_evidence),
     ),
@@ -454,9 +425,7 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         "prime power order",
         kinds=("ordersum",),
         form="iff",
-        lhs_label="order-sum graph minimally connected",
         lhs=lambda a: a.vertex_sweep.holds,
-        rhs_label="group order a prime power",
         rhs=lambda p, a: p.is_prime_power_order,
         evidence=_merge(_shape_evidence, _vertex_sweep_evidence),
     ),
@@ -466,9 +435,7 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         "non-identity elements are all self-inverse or all non-self-inverse",
         kinds=("noninverse",),
         form="iff",
-        lhs_label="non-inverse graph minimally connected",
         lhs=lambda a: a.vertex_sweep.holds,
-        rhs_label="uniform inverse behaviour off the identity",
         rhs=_uniform_inverse,
         evidence=_merge(_shape_evidence, _vertex_sweep_evidence),
     ),
@@ -478,9 +445,7 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         "graph is minimally edge connected iff the group is a p-group",
         kinds=("coprime",),
         form="iff",
-        lhs_label="co-prime graph minimally edge connected",
         lhs=lambda a: a.edge_sweep.holds,
-        rhs_label="group is a p-group",
         rhs=lambda p, a: p.is_p_group,
         skip=lambda p, a: None
         if p.is_full_exponent
@@ -493,9 +458,7 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         "graph that is not minimally edge connected",
         kinds=("coprime",),
         form="if",
-        lhs_label="co-prime graph NOT minimally edge connected",
         lhs=lambda a: not a.edge_sweep.holds,
-        rhs_label="even order and not a p-group",
         rhs=lambda p, a: p.is_even_order and not p.is_p_group,
         evidence=_merge(_shape_evidence, _edge_sweep_evidence),
     ),
@@ -505,9 +468,7 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         "p-group",
         kinds=("coprime",),
         form="iff",
-        lhs_label="co-prime graph minimally connected",
         lhs=lambda a: a.vertex_sweep.holds,
-        rhs_label="group is a p-group",
         rhs=lambda p, a: p.is_p_group,
         evidence=_merge(_shape_evidence, _vertex_sweep_evidence),
     ),
@@ -516,9 +477,7 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         statement="a graph is minimally connected iff it is a tree",
         kinds=ALL_KINDS,
         form="iff",
-        lhs_label="vertex-deletion sweep holds",
         lhs=lambda a: a.vertex_sweep.holds,
-        rhs_label="graph is a tree",
         rhs=lambda p, a: a.is_tree,
         evidence=_merge(_shape_evidence, _vertex_sweep_evidence),
     ),
@@ -731,6 +690,9 @@ def run_corpus(
     every built graph.  Output ordering is claim-major, group label minor,
     graph kind in fixed order, so two runs produce identical reports."""
     claim_ids = list(ClaimId) if claims is None else list(claims)
+    repeated = sorted({c.value for c in claim_ids if claim_ids.count(c) > 1})
+    if repeated:
+        raise ValueError(f"claims listed more than once: {', '.join(repeated)}")
     groups = [GroupAnalysis(build_family(spec, order_cap=order_cap)) for spec in corpus]
     groups.sort(key=lambda ga: ga.label)
     verdicts: list[ClaimVerdict] = []

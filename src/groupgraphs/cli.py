@@ -159,12 +159,14 @@ def _parse_claims(text: str) -> list[ClaimId]:
         except ValueError:
             known = ", ".join(c.value for c in ClaimId)
             raise SystemExit(f"unknown claim {name!r}; known claims: {known}")
+    if not claims:
+        raise SystemExit("--claims names no claim")
     return claims
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     corpus = _read_corpus_file(args.corpus) if args.corpus else default_corpus()
-    claims = _parse_claims(args.claims) if args.claims else None
+    claims = None if args.claims is None else _parse_claims(args.claims)
     report = run_corpus(corpus, claims, order_cap=args.order_cap)
     payload = report.to_json() if args.format == "json" else report.to_csv()
     if args.out:
@@ -271,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_group_kind_args(p_inv)
     p_inv.set_defaults(func=_cmd_invariants)
 
-    p_min = sub.add_parser("minimality", help="decide minimality edge by edge, one local flow per edge")
+    p_min = sub.add_parser("minimality", help="decide minimality per edge: local connectivity - 1")
     _add_group_kind_args(p_min)
     p_min.add_argument("--mode", choices=("edge", "vertex", "both"), default="both")
     p_min.add_argument(

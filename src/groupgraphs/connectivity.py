@@ -1,20 +1,23 @@
 """Exact edge and vertex connectivity via unit-capacity max-flow, with
 independent brute-force oracles for cross-checking.
 
+The flow route rests on one local value per mode: the largest number of
+edge-disjoint (resp. internally vertex-disjoint) u-v paths, an edge uv
+counting as one.  kappa' is its least value from vertex 0 to every sink,
+kappa its least value over non-adjacent pairs, both scanned in lexicographic
+order so results never depend on scheduling; the minimality sweeps read it
+edge by edge.
+
 Conventions, applied consistently by both routes:
   - a disconnected graph (n >= 2) and the one-vertex graph report 0;
   - the complete graph K_n reports vertex connectivity n - 1 (a cut-set may
     leave "just one vertex", and no non-adjacent pair exists).
-
-The flow route fixes source 0 for edge connectivity and scans sinks (resp.
-non-adjacent pairs) in lexicographic order, so results never depend on
-scheduling.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -24,6 +27,8 @@ from .graphs import SimpleGraph
 
 __all__ = [
     "TooLargeForOracleError",
+    "local_edge_connectivity",
+    "local_vertex_connectivity",
     "edge_connectivity",
     "vertex_connectivity",
     "edge_connectivity_oracle",
@@ -40,87 +45,102 @@ class TooLargeForOracleError(ValueError):
     """Graph exceeds the brute-force oracle's vertex guard."""
 
 
-def _unit_capacity_csr(graph: SimpleGraph) -> csr_matrix:
-    return csr_matrix(graph.adjacency.astype(np.int32))
+def _local_flow(capacity: np.ndarray, exit_offset: int) -> Callable[[int, int], int]:
+    """(u, v) -> max-flow from node exit_offset + u to node v of the network."""
+    network = csr_matrix(capacity)
+
+    def local(u: int, v: int) -> int:
+        return int(maximum_flow(network, exit_offset + u, v, method="dinic").flow_value)
+
+    return local
+
+
+def local_edge_connectivity(graph: SimpleGraph) -> Callable[[int, int], int]:
+    """(u, v) -> the largest number of edge-disjoint u-v paths, u != v.
+
+    Each undirected edge carries capacity 1 in both directions, so the u -> v
+    max-flow counts edge-disjoint paths; an edge uv is one of them.
+    """
+    return _local_flow(graph.adjacency.astype(np.int32), 0)
+
+
+def local_vertex_connectivity(graph: SimpleGraph) -> Callable[[int, int], int]:
+    """(u, v) -> the largest number of internally vertex-disjoint u-v paths,
+    u != v, with an edge uv counting as one path.
+
+    Vertex-split network, all capacities 1: node v enters at v and exits at
+    n + v through an internal arc, and each edge {a, b} gives arcs n+a -> b
+    and n+b -> a.  The flow runs from u's exit to v's entry.  A unit crossing
+    n+a -> b also crosses a's internal arc (a != u) or b's (b != v), so a cut
+    through an edge arc moves onto an internal arc at the same cost; only
+    n+u -> v, the edge uv itself, is cut on its own.
+    """
+    n = graph.n
+    capacity = np.zeros((2 * n, 2 * n), dtype=np.int32)
+    capacity[np.arange(n), np.arange(n, 2 * n)] = 1
+    capacity[n:, :n] = graph.adjacency
+    return _local_flow(capacity, n)
+
+
+def _least(values: Iterable[int]) -> int:
+    """Smallest of values; stops reading at 1, the least value a connected
+    graph can have."""
+    best = None
+    for value in values:
+        if best is None or value < best:
+            best = value
+            if best <= 1:
+                break
+    return best
 
 
 def edge_connectivity(graph: SimpleGraph) -> int:
-    """Size of a minimum edge cut, via max-flow from vertex 0 to every sink.
-
-    Each undirected edge carries capacity 1 in both directions; the minimum
-    over sinks of max-flow(0 -> t) is the global minimum cut.  The scan stops
-    early at 1, the least value a connected graph can have.
-    """
+    """Size of a minimum edge cut: the least local edge connectivity from
+    vertex 0 to every other vertex, since vertex 0 lies on one side of every
+    cut."""
     n = graph.n
     if n == 1 or not graph.is_connected():
         return 0
-    cap = _unit_capacity_csr(graph)
-    best: Optional[int] = None
-    for t in range(1, n):
-        flow = int(maximum_flow(cap, 0, t, method="dinic").flow_value)
-        if best is None or flow < best:
-            best = flow
-            if best <= 1:
-                break
-    return int(best)
-
-
-def _split_capacity_csr(graph: SimpleGraph) -> csr_matrix:
-    """Vertex-split digraph: node v enters at v, exits at n + v.
-
-    The internal arc v -> n+v has capacity 1; each edge {u, v} contributes
-    arcs n+u -> v and n+v -> u with capacity n (effectively infinite), so any
-    unit of flow consumes exactly the internal vertices it passes through.
-    """
-    n = graph.n
-    cap = np.zeros((2 * n, 2 * n), dtype=np.int32)
-    cap[np.arange(n), np.arange(n, 2 * n)] = 1
-    out_u, in_v = np.nonzero(graph.adjacency)
-    cap[n + out_u, in_v] = n
-    return csr_matrix(cap)
+    local = local_edge_connectivity(graph)
+    return _least(local(0, t) for t in range(1, n))
 
 
 def vertex_connectivity(graph: SimpleGraph) -> int:
     """Size of a minimum vertex cut-set; n - 1 for complete graphs.
 
-    For every non-adjacent pair (u, v), scanned lexicographically, computes
-    the vertex-split max-flow from u's exit to v's entry; the minimum over
-    pairs is the vertex connectivity.  As in :func:`edge_connectivity`, the
-    scan stops early at 1.
+    The least local vertex connectivity over non-adjacent pairs, scanned
+    lexicographically.
     """
     n = graph.n
     if n == 1 or not graph.is_connected():
         return 0
-    nonedges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if not graph.adjacency[u, v]
-    ]
-    if not nonedges:
+    if graph.edge_count == n * (n - 1) // 2:
         return n - 1
-    cap = _split_capacity_csr(graph)
-    best: Optional[int] = None
-    for u, v in nonedges:
-        flow = int(maximum_flow(cap, n + u, v, method="dinic").flow_value)
-        if best is None or flow < best:
-            best = flow
-            if best <= 1:
-                break
-    return int(best)
+    local = local_vertex_connectivity(graph)
+    pairs = combinations(range(n), 2)
+    return _least(local(u, v) for u, v in pairs if not graph.adjacency[u, v])
 
 
-def edge_connectivity_oracle(graph: SimpleGraph, *, limit: int = EDGE_ORACLE_LIMIT) -> int:
-    """Minimum crossing-edge count over all 2^(n-1) proper bipartitions.
-
-    Independent of the flow route: works on neighbor bitmasks only.
-    """
-    n = graph.n
-    if n > limit:
-        raise TooLargeForOracleError(f"n = {n} exceeds edge-oracle guard {limit}")
-    if n == 1:
-        return 0
-    masks = [0] * n
+def _neighbour_masks(graph: SimpleGraph) -> list[int]:
+    """Bit w of entry v is set iff vw is an edge."""
+    masks = [0] * graph.n
     for u, v in graph.edge_list:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
+    return masks
+
+
+def edge_connectivity_oracle(graph: SimpleGraph) -> int:
+    """Minimum crossing-edge count over all 2^(n-1) proper bipartitions.
+
+    Independent of the flow route: works on neighbour bitmasks only.
+    """
+    n = graph.n
+    if n > EDGE_ORACLE_LIMIT:
+        raise TooLargeForOracleError(f"n = {n} exceeds edge-oracle guard {EDGE_ORACLE_LIMIT}")
+    if n == 1:
+        return 0
+    masks = _neighbour_masks(graph)
     full = (1 << n) - 1
     best = None
     # vertex 0 always on the S side: each proper bipartition counted once
@@ -144,43 +164,32 @@ def edge_connectivity_oracle(graph: SimpleGraph, *, limit: int = EDGE_ORACLE_LIM
     return best
 
 
-def _connected_after_removal(graph: SimpleGraph, removed: frozenset[int]) -> bool:
-    n = graph.n
-    remaining = [v for v in range(n) if v not in removed]
-    if len(remaining) <= 1:
-        return True
-    adj = graph.adjacency
-    reached = {remaining[0]}
-    frontier = [remaining[0]]
-    keep_set = set(remaining)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in np.flatnonzero(adj[v]):
-                w = int(w)
-                if w in keep_set and w not in reached:
-                    reached.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return len(reached) == len(remaining)
-
-
-def vertex_connectivity_oracle(
-    graph: SimpleGraph, *, limit: int = VERTEX_ORACLE_LIMIT
-) -> int:
+def vertex_connectivity_oracle(graph: SimpleGraph) -> int:
     """Smallest |S| whose removal disconnects the graph or leaves one vertex.
 
-    Enumerates vertex subsets by increasing size; entirely independent of the
-    max-flow route.
+    Enumerates vertex subsets by increasing size and grows the reached set
+    over neighbour bitmasks; entirely independent of the max-flow route.
     """
     n = graph.n
-    if n > limit:
-        raise TooLargeForOracleError(f"n = {n} exceeds vertex-oracle guard {limit}")
-    for size in range(n):
+    if n > VERTEX_ORACLE_LIMIT:
+        raise TooLargeForOracleError(
+            f"n = {n} exceeds vertex-oracle guard {VERTEX_ORACLE_LIMIT}"
+        )
+    masks = _neighbour_masks(graph)
+    full = (1 << n) - 1
+    # removing n - 1 vertices always leaves one, so only smaller sets can cut
+    for size in range(n - 1):
         for subset in combinations(range(n), size):
-            removed = frozenset(subset)
-            if n - size == 1:
-                return size
-            if not _connected_after_removal(graph, removed):
+            kept = full ^ sum(1 << v for v in subset)
+            reached = frontier = kept & -kept
+            while frontier:
+                grown = 0
+                while frontier:
+                    low = frontier & -frontier
+                    grown |= masks[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = grown & kept & ~reached
+                reached |= frontier
+            if reached != kept:
                 return size
     return n - 1

@@ -5,13 +5,10 @@ A graph is minimally edge connected when deleting any single edge lowers the
 edge connectivity by exactly 1, and minimally connected when the same holds
 for vertex connectivity.  Deleting one edge e = uv can lower either value by
 at most 1, and a cut of G - e that is not a cut of G must separate u from v
-(Menger).  So the connectivity of G - e is the smaller of the base value and
-a local u-v value, computed on the original graph:
-
-  - edge mode: min(kappa', lambda_G(u, v) - 1), with lambda_G the u -> v
-    max-flow in G;
-  - vertex mode: min(kappa, kappa_{G-e}(u, v)), the vertex-split u -> v flow
-    with the two arcs of e removed.
+(Menger).  The edge uv is itself one of the disjoint u-v paths of G, so in
+both modes the connectivity of G - e is min(base value, local u-v
+connectivity of G - 1), the local value coming from one max-flow on the
+original graph (:mod:`groupgraphs.connectivity`).
 
 Local connectivity never exceeds the smaller endpoint degree, and the base
 value never exceeds the minimum degree, so an edge with an endpoint of degree
@@ -25,14 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
-
 from .connectivity import (
-    _split_capacity_csr,
-    _unit_capacity_csr,
     edge_connectivity,
+    local_edge_connectivity,
+    local_vertex_connectivity,
     vertex_connectivity,
 )
 from .graphs import SimpleGraph, shape_profile
@@ -53,9 +46,10 @@ class MinimalityVerdict:
     ``applicable`` is False on disconnected or single-vertex graphs, where the
     predicate is not meaningful; such graphs never "hold".  Violating edges
     are reported completely and in canonical edge order, so two runs are
-    diffable.  ``per_edge_values`` maps each edge to the connectivity of the
-    graph with that edge deleted, decided by a local flow on the original
-    graph; every value is base_value or base_value - 1.
+    diffable.  ``per_edge_values`` maps each edge uv to the connectivity of
+    the graph with that edge deleted: the smaller of base_value and the local
+    u-v connectivity of the original graph minus 1.  Every value is
+    base_value or base_value - 1.
     """
 
     mode: str  # "edge" or "vertex"
@@ -66,52 +60,24 @@ class MinimalityVerdict:
     per_edge_values: dict[tuple[int, int], int]
 
 
-def _flow(cap: csr_matrix, source: int, sink: int) -> int:
-    return int(maximum_flow(cap, source, sink, method="dinic").flow_value)
-
-
-def _edge_local(graph: SimpleGraph) -> Callable[[int, int], int]:
-    """(u, v) -> lambda_G(u, v) - 1, the u-v edge connectivity of G - uv."""
-    cap = _unit_capacity_csr(graph)
-    return lambda u, v: _flow(cap, u, v) - 1
-
-
-def _vertex_local(graph: SimpleGraph) -> Callable[[int, int], int]:
-    """(u, v) -> kappa_{G-uv}(u, v), the vertex-split flow without edge uv."""
-    n = graph.n
-    cap = _split_capacity_csr(graph)
-
-    def arc(tail: int, head: int) -> int:
-        start, end = cap.indptr[tail], cap.indptr[tail + 1]
-        return start + int(np.searchsorted(cap.indices[start:end], head))
-
-    def local(u: int, v: int) -> int:
-        data = cap.data.copy()
-        data[[arc(n + u, v), arc(n + v, u)]] = 0
-        return _flow(csr_matrix((data, cap.indices, cap.indptr), shape=cap.shape), n + u, v)
-
-    return local
-
-
 def _sweep(
     graph: SimpleGraph,
     mode: str,
     connectivity: Callable[[SimpleGraph], int],
-    local_value: Callable[[SimpleGraph], Callable[[int, int], int]],
+    local_connectivity: Callable[[SimpleGraph], Callable[[int, int], int]],
 ) -> MinimalityVerdict:
-    applicable = graph.n >= 2 and graph.is_connected()
-    base = connectivity(graph) if applicable else 0
-    if not applicable:
-        return MinimalityVerdict(mode, False, base, False, (), {})
+    if graph.n < 2 or not graph.is_connected():
+        return MinimalityVerdict(mode, False, 0, False, (), {})
+    base = connectivity(graph)
     degrees = graph.degrees()
-    local = local_value(graph)
+    local = local_connectivity(graph)
     per_edge: dict[tuple[int, int], int] = {}
     violating = []
     for u, v in graph.edge_list:
         if min(degrees[u], degrees[v]) == base:
             value = base - 1  # the local value is at most base - 1 already
         else:
-            value = local(u, v)
+            value = local(u, v) - 1
             if value < base - 1:
                 raise RuntimeError(
                     f"local {mode} connectivity of {(u, v)} is {value} with base "
@@ -133,12 +99,12 @@ def _sweep(
 
 def is_minimally_edge_connected(graph: SimpleGraph) -> MinimalityVerdict:
     """Does deleting any single edge lower the edge connectivity by exactly 1?"""
-    return _sweep(graph, "edge", edge_connectivity, _edge_local)
+    return _sweep(graph, "edge", edge_connectivity, local_edge_connectivity)
 
 
 def is_minimally_connected(graph: SimpleGraph) -> MinimalityVerdict:
     """Does deleting any single edge lower the vertex connectivity by exactly 1?"""
-    return _sweep(graph, "vertex", vertex_connectivity, _vertex_local)
+    return _sweep(graph, "vertex", vertex_connectivity, local_vertex_connectivity)
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,16 @@ class TestVerify:
         with pytest.raises(SystemExit):
             run_cli("verify", "--claims", "NOT_A_CLAIM")
 
+    @pytest.mark.parametrize("text", [",", ""])
+    def test_empty_claim_list_is_usage_error(self, text):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "--claims", text)
+        assert exc.value.code == "--claims names no claim"
+
+    def test_repeated_claim_is_error(self, capsys):
+        assert run_cli("verify", "--claims", "WHITNEY,L_NI_KAPPA_EQ,WHITNEY") == 1
+        assert capsys.readouterr().err == "error: claims listed more than once: WHITNEY\n"
+
     def test_empty_corpus_file_rejected(self, tmp_path):
         corpus = tmp_path / "empty.txt"
         corpus.write_text("# nothing here\n")
