@@ -72,7 +72,6 @@ from .groups import (
     NoInverseError,
     NotAssociativeError,
     NotClosedError,
-    from_cayley_table,
     parse_cayley_table_text,
 )
 from .minimality import (
@@ -94,7 +93,6 @@ __all__ = [
     "NoIdentityError",
     "NoInverseError",
     "NotAssociativeError",
-    "from_cayley_table",
     "parse_cayley_table_text",
     # families
     "FamilySpec",

@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from ._version import __version__ as _package_version
-from .builders import build_graph
+from .builders import GRAPH_KINDS, build_graph
 from .connectivity import (
     EDGE_ORACLE_LIMIT,
     VERTEX_ORACLE_LIMIT,
@@ -65,7 +65,7 @@ __all__ = [
     "sanity_invariants",
 ]
 
-ALL_KINDS = ("commuting", "coprime", "ordersum", "noninverse")
+ALL_KINDS = tuple(GRAPH_KINDS)
 
 
 class ClaimId(str, Enum):

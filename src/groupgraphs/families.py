@@ -18,7 +18,6 @@ from .groups import (
     FiniteGroup,
     _group_from_rows,
     _split_table_text,
-    from_cayley_table,
     is_prime,
 )
 
@@ -152,8 +151,6 @@ def _order_factors(spec: FamilySpec) -> Iterable[int]:
     family = _family(spec)
     if any(p < 1 for p in spec.params):
         raise InvalidParameterError(f"{label}: parameters must be positive")
-    if spec.kind == "ea" and not is_prime(spec.params[0]):
-        raise InvalidParameterError(f"{label}: {spec.params[0]} is not prime")
     return family.order_factors(*spec.params)
 
 
@@ -273,10 +270,13 @@ def build_family(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> Finite
         return _group_from_rows(order, rows, label)
 
     _check_order_cap(label, _order_factors(spec), order_cap)
+    # after the cap check, so trial division only ever sees p <= order_cap
+    if spec.kind == "ea" and not is_prime(spec.params[0]):
+        raise InvalidParameterError(f"{label}: {spec.params[0]} is not prime")
     if spec.kind == "product":
         table = _product_table(
             [build_family(f, order_cap=order_cap).table for f in spec.factors]
         )
     else:
         table = _FAMILIES[spec.kind].table(*spec.params)
-    return from_cayley_table(table, label=label)
+    return FiniteGroup(table, label=label)

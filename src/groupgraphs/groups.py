@@ -23,7 +23,6 @@ __all__ = [
     "NoInverseError",
     "NotAssociativeError",
     "ClassEquation",
-    "from_cayley_table",
     "parse_cayley_table_text",
     "is_prime",
     "prime_factors",
@@ -121,16 +120,22 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     ``table[i, j]`` is the index of ``x_i * x_j``; index 0 is the identity.
-    Construction validates all four group axioms (closure, identity, unique
-    two-sided inverses, associativity by full triple enumeration), so any
+    The table (nested lists or an array) is copied to int64 once; a ragged
+    table, or an entry that does not convert (text, or an integer out of
+    int64 range), raises NotClosedError.  Construction validates all four
+    group axioms (closure, identity, unique two-sided inverses,
+    associativity by full triple enumeration), so any
     instance can be trusted downstream.  If the two-sided identity sits at
     some index e != 0, the constructor swaps elements 0 and e before checking
     inverses, so that downstream vertex numbering is canonical.  Instances are
     immutable.
     """
 
-    def __init__(self, table: np.ndarray, label: str = "G"):
-        table = np.asarray(table, dtype=np.int64)
+    def __init__(self, table: Sequence[Sequence[int]] | np.ndarray, label: str = "G"):
+        try:
+            table = np.array(table, dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise NotClosedError(f"{label}: not a rectangular integer table: {exc}") from exc
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise NotClosedError(f"{label}: table must be square, got shape {table.shape}")
         n = table.shape[0]
@@ -277,15 +282,6 @@ class FiniteGroup:
         )
 
 
-def from_cayley_table(raw: Sequence[Sequence[int]] | np.ndarray, label: str = "G") -> FiniteGroup:
-    """Convert a raw index table to integers and validate it as a FiniteGroup."""
-    try:
-        table = np.array(raw, dtype=np.int64)
-    except ValueError as exc:
-        raise NotClosedError(f"{label}: not a rectangular integer table: {exc}") from exc
-    return FiniteGroup(table, label=label)
-
-
 def parse_cayley_table_text(text: str, label: str = "G") -> FiniteGroup:
     """Parse the plain-text Cayley table format.
 
@@ -332,4 +328,4 @@ def _group_from_rows(n: int, body: list[tuple[int, str]], label: str) -> FiniteG
                 f"{label}: line {lineno}: expected {n} entries, found {len(row)}"
             )
         rows.append(row)
-    return from_cayley_table(rows, label=label)
+    return FiniteGroup(rows, label=label)

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from groupgraphs import (
+    ALL_KINDS,
     ClaimId,
     FamilySpec,
     build_family,
@@ -58,10 +59,7 @@ def test_criterion_1_oracle_equivalence():
         group = build_family(spec, order_cap=ORDER_CAP)
         if group.order > ORACLE_N:
             continue
-        graphs.extend(
-            build_graph(group, kind)
-            for kind in ("commuting", "coprime", "ordersum", "noninverse")
-        )
+        graphs.extend(build_graph(group, kind) for kind in ALL_KINDS)
     random_count = 200
     for graph in graphs:
         assert edge_connectivity(graph) == edge_connectivity_oracle(graph)

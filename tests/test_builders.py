@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupgraphs import (
+    ALL_KINDS,
     FamilySpec,
     build_family,
     build_graph,
@@ -152,7 +153,7 @@ SPECS = st.one_of(
 
 
 @settings(max_examples=40, deadline=None)
-@given(SPECS, st.sampled_from(["commuting", "coprime", "ordersum", "noninverse"]))
+@given(SPECS, st.sampled_from(ALL_KINDS))
 def test_graphs_are_simple_and_tagged(spec, kind):
     group = build_family(spec)
     g = build_graph(group, kind)

@@ -195,7 +195,12 @@ class TestErrors:
         assert "exceeds cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "spec, bound", [("symmetric:300000", 720), ("ea:2,3000000", 256)]
+        "spec, bound",
+        [
+            ("symmetric:300000", 720),
+            ("ea:2,3000000", 256),
+            ("ea:1000000000000000003,2", "1000000000000000003"),
+        ],
     )
     def test_huge_order_rejected_without_forming_it(self, capsys, spec, bound):
         start = time.perf_counter()
@@ -224,6 +229,25 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             run_cli("frobnicate")
         assert exc.value.code == 2
+
+    def test_not_prime_after_cap(self, capsys):
+        assert run_cli("invariants", "--group", "ea:4,1", "--kind", "commuting") == 1
+        assert capsys.readouterr().err == "error: ea:4,1: 4 is not prime\n"
+
+    @pytest.mark.parametrize("command", ["invariants", "verify"])
+    def test_huge_table_entry_is_one_line_error(self, tmp_path, capsys, command):
+        table = tmp_path / "huge.txt"
+        table.write_text("2\n0 1\n1 99999999999999999999\n")
+        if command == "invariants":
+            argv = ("invariants", "--group", f"file:{table}", "--kind", "commuting")
+        else:
+            corpus = tmp_path / "corpus.txt"
+            corpus.write_text(f"file:{table}\n")
+            argv = ("verify", "--corpus", str(corpus))
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not a rectangular integer table" in err
 
     def test_missing_file_group(self, capsys):
         assert (

@@ -92,6 +92,40 @@ class TestOracles:
         with pytest.raises(TooLargeForOracleError):
             vertex_connectivity_oracle(complete_graph(13))
 
+    @pytest.mark.parametrize(
+        "graph, expected",
+        [
+            (complete_graph(20), 19),
+            (path_graph(20), 1),
+            (
+                SimpleGraph.from_edges(
+                    20,
+                    [(u + base, v + base) for base in (0, 10)
+                     for u in range(10) for v in range(u + 1, 10)],
+                ),
+                0,
+            ),
+            (SimpleGraph(np.zeros((1, 1), dtype=bool)), 0),
+            (SimpleGraph(np.zeros((2, 2), dtype=bool)), 0),
+            (complete_graph(2), 1),
+        ],
+        ids=["K20", "P20", "two-K10", "n1", "n2-no-edge", "n2-edge"],
+    )
+    def test_edge_oracle_at_the_edges(self, graph, expected):
+        assert edge_connectivity_oracle(graph) == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_edge_oracle_matches_brute_force_above_small_graphs(self, seed):
+        # two dense halves joined by a few edges, so the minimum cut is often
+        # the join and not a single vertex's edges
+        rng = np.random.default_rng(seed)
+        n = 13 + seed % 2
+        half = np.arange(n) < n // 2
+        density = np.where(half[:, None] == half[None, :], 0.8, rng.uniform(0.02, 0.1))
+        upper = np.triu(rng.random((n, n)) < density, 1)
+        g = SimpleGraph(upper | upper.T)
+        assert edge_connectivity_oracle(g) == brute_edge_connectivity(g)
+
     def test_disconnected_oracles(self):
         g = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
         assert edge_connectivity_oracle(g) == 0

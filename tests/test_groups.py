@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from groupgraphs import (
     FamilySpec,
+    FiniteGroup,
     NoIdentityError,
     NoInverseError,
     NotAssociativeError,
     NotClosedError,
     build_family,
-    from_cayley_table,
 )
 from conftest import raw_commutes, raw_element_order, raw_inverse
 
@@ -40,37 +40,44 @@ NO_TWO_SIDED_INVERSE = [
 
 class TestValidation:
     def test_trivial_group(self):
-        g = from_cayley_table([[0]])
+        g = FiniteGroup([[0]])
         assert g.order == 1
         assert list(g.element_orders) == [1]
         assert g.inverse(0) == 0
 
     def test_mod3_addition(self):
-        g = from_cayley_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+        g = FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
         assert list(g.element_orders) == [1, 3, 3]
 
     def test_out_of_range_entry(self):
         with pytest.raises(NotClosedError, match=r"table\[1\]\[1\] = 9"):
-            from_cayley_table([[0, 1, 2], [1, 9, 0], [2, 0, 1]])
+            FiniteGroup([[0, 1, 2], [1, 9, 0], [2, 0, 1]])
         # identity at index 2: closure is checked before the identity is
         # relocated, which would otherwise index with the negative entry
         with pytest.raises(NotClosedError, match=r"table\[1\]\[1\] = -1"):
-            from_cayley_table([[1, 2, 0], [2, -1, 1], [0, 1, 2]])
+            FiniteGroup([[1, 2, 0], [2, -1, 1], [0, 1, 2]])
+
+    @pytest.mark.parametrize(
+        "table", [[[0, 2**70], [2**70, 0]], [[0, 1], [1]], [["a"]]]
+    )
+    def test_not_an_integer_table(self, table):
+        with pytest.raises(NotClosedError, match="not a rectangular integer table"):
+            FiniteGroup(table)
 
     def test_non_square(self):
         with pytest.raises(NotClosedError, match="square"):
-            from_cayley_table([[0, 1], [1, 0], [0, 1]])
+            FiniteGroup([[0, 1], [1, 0], [0, 1]])
 
     def test_no_identity(self):
         # subtraction mod 4: a Latin square with no two-sided identity
         n = 4
         table = [[(i - j) % n for j in range(n)] for i in range(n)]
         with pytest.raises(NoIdentityError):
-            from_cayley_table(table)
+            FiniteGroup(table)
 
     def test_no_two_sided_inverse(self):
         with pytest.raises(NoInverseError, match="element 2"):
-            from_cayley_table(NO_TWO_SIDED_INVERSE)
+            FiniteGroup(NO_TWO_SIDED_INVERSE)
 
     def test_non_associative_loop(self):
         # independent confirmation by triple enumeration first
@@ -84,12 +91,12 @@ class TestValidation:
         ]
         assert violations, "fixture must violate associativity"
         with pytest.raises(NotAssociativeError):
-            from_cayley_table(t)
+            FiniteGroup(t)
 
     def test_identity_relocation(self):
         # Z_3 with elements listed so the identity sits at index 2
         table = [[1, 2, 0], [2, 0, 1], [0, 1, 2]]
-        g = from_cayley_table(table)
+        g = FiniteGroup(table)
         assert g.identity_index == 0
         assert np.array_equal(g.table[0], [0, 1, 2])
         assert sorted(g.element_orders) == [1, 3, 3]
