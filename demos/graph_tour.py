@@ -24,8 +24,7 @@ def describe(spec_text):
     print(f"element orders: {sorted(int(o) for o in group.element_orders)}")
     print(
         f"abelian={profile.is_abelian}  p-group={profile.is_p_group}  "
-        f"eppo={profile.is_eppo}  exponent={profile.exponent}  "
-        f"full-exponent={profile.is_full_exponent}"
+        f"exponent={profile.exponent}  full-exponent={profile.is_full_exponent}"
     )
     for kind in ALL_KINDS:
         graph = build_graph(group, kind)

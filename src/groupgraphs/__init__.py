@@ -64,7 +64,6 @@ from .graphs import (
     to_edge_csv,
 )
 from .groups import (
-    ClassEquation,
     FiniteGroup,
     GroupProfile,
     GroupTableError,
@@ -87,7 +86,6 @@ __all__ = [
     # groups
     "FiniteGroup",
     "GroupProfile",
-    "ClassEquation",
     "GroupTableError",
     "NotClosedError",
     "NoIdentityError",

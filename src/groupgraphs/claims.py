@@ -426,7 +426,7 @@ _DEFINITIONS: tuple[ClaimDefinition, ...] = (
         kinds=("ordersum",),
         form="iff",
         lhs=lambda a: a.vertex_sweep.holds,
-        rhs=lambda p, a: p.is_prime_power_order,
+        rhs=lambda p, a: p.is_p_group,
         evidence=_merge(_shape_evidence, _vertex_sweep_evidence),
     ),
     ClaimDefinition(

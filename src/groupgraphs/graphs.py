@@ -88,11 +88,6 @@ class SimpleGraph:
         adj[u, v] = adj[v, u] = False
         return SimpleGraph(adj, kind_tag=self.kind_tag)
 
-    def delete_vertex(self, x: int) -> "SimpleGraph":
-        """New graph with vertex x removed and the rest reindexed in order."""
-        keep = [i for i in range(self.n) if i != x]
-        return SimpleGraph(self.adjacency[np.ix_(keep, keep)], kind_tag=self.kind_tag)
-
     def is_connected(self) -> bool:
         """True iff a single search from vertex 0 reaches every vertex."""
         if self.n <= 1:

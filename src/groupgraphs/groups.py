@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "NoIdentityError",
     "NoInverseError",
     "NotAssociativeError",
-    "ClassEquation",
     "parse_cayley_table_text",
     "is_prime",
     "prime_factors",
@@ -80,73 +79,62 @@ def prime_factors(m: int) -> list[int]:
     return factors
 
 
-def _is_prime_power(m: int) -> bool:
-    """True for p^k with k >= 1; false for 1."""
-    return len(prime_factors(m)) == 1
-
-
 @dataclass(frozen=True)
 class GroupProfile:
-    """Group-side predicates that the classification claims quantify over."""
+    """Group-side predicates that the classification claims quantify over.
+
+    ``is_p_group`` is true exactly when the order is a prime power; the
+    trivial group is not a p-group.
+    """
 
     order: int
     is_abelian: bool
-    center_size: int
     exponent: int
     is_full_exponent: bool
     is_p_group: bool
-    p_prime: Optional[int]
     is_prime_order: bool
-    is_prime_power_order: bool
-    is_eppo: bool
     is_even_order: bool
     all_nonidentity_self_inverse: bool
     no_nonidentity_self_inverse: bool
-    count_order_two: int
     is_cyclic: bool
-
-
-@dataclass(frozen=True)
-class ClassEquation:
-    """Conjugacy-class breakdown of |G| = |Z(G)| + sum of non-central class sizes."""
-
-    order: int
-    center_size: int
-    class_sizes: tuple[int, ...]
-    holds: bool
 
 
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     ``table[i, j]`` is the index of ``x_i * x_j``; index 0 is the identity.
-    The table (nested lists or an array) is copied to int64 once; a ragged
-    table, or an entry that does not convert (text, or an integer out of
-    int64 range), raises NotClosedError.  Construction validates all four
-    group axioms (closure, identity, unique two-sided inverses,
-    associativity by full triple enumeration), so any
-    instance can be trusted downstream.  If the two-sided identity sits at
-    some index e != 0, the constructor swaps elements 0 and e before checking
-    inverses, so that downstream vertex numbering is canonical.  Instances are
+    The table (nested lists or an array) is copied to int64 once.  A ragged
+    table, or entries that numpy does not read as integers (floats, bools,
+    text, or integers beyond 64 bits), raise NotClosedError.  Construction
+    validates all four group axioms (closure, identity, unique two-sided
+    inverses, associativity by full triple enumeration), so any instance can
+    be trusted downstream.  If the two-sided identity sits at some index
+    e != 0, the constructor swaps elements 0 and e before checking inverses,
+    so that downstream vertex numbering is canonical.  Instances are
     immutable.
     """
 
     def __init__(self, table: Sequence[Sequence[int]] | np.ndarray, label: str = "G"):
         try:
-            table = np.array(table, dtype=np.int64)
-        except (ValueError, OverflowError) as exc:
+            table = np.asarray(table)
+        except ValueError as exc:
             raise NotClosedError(f"{label}: not a rectangular integer table: {exc}") from exc
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise NotClosedError(f"{label}: table must be square, got shape {table.shape}")
         n = table.shape[0]
         if n == 0:
             raise NotClosedError(f"{label}: a group has at least one element")
+        if table.dtype.kind not in "iu":
+            raise NotClosedError(
+                f"{label}: not a rectangular integer table: entries of type {table.dtype}"
+            )
         bad = np.argwhere((table < 0) | (table >= n))
         if bad.size:
             i, j = (int(v) for v in bad[0])
             raise NotClosedError(
                 f"{label}: entry table[{i}][{j}] = {int(table[i, j])} not in [0, {n})"
             )
+        table = table.astype(np.int64)
         # relocation indexes by table entries, so it must follow the closure check
         idx = np.arange(n)
         for identity in range(n):
@@ -192,7 +180,6 @@ class FiniteGroup:
         self.table = table
         self.order = n
         self.label = label
-        self.identity_index = 0
         self.inverses = inverse
         self.element_orders = orders
 
@@ -221,63 +208,21 @@ class FiniteGroup:
     def exponent(self) -> int:
         return math.lcm(*(int(o) for o in self.element_orders))
 
-    def center(self) -> set[int]:
-        """Indices commuting with every element; always contains 0."""
-        t = self.table
-        return {i for i in range(self.order) if np.array_equal(t[i], t[:, i])}
-
-    def centralizer(self, i: int) -> set[int]:
-        """Indices j with x_i x_j = x_j x_i; contains the center and i itself."""
-        self._check_index(i)
-        return set(int(j) for j in np.flatnonzero(self.table[i] == self.table[:, i]))
-
-    def class_equation(self) -> ClassEquation:
-        """Check |G| = |Z(G)| + sum over non-central classes of |G| / |C_G(x)|.
-
-        A failure here signals an internal bug, never bad input: every
-        constructed table has already passed the axiom checks.
-        """
-        t, inv = self.table, self.inverses
-        center = self.center()
-        seen = np.zeros(self.order, dtype=bool)
-        sizes = []
-        for x in range(self.order):
-            if seen[x]:
-                continue
-            cls = {int(t[t[g, x], inv[g]]) for g in range(self.order)}
-            seen[list(cls)] = True
-            if x in center:
-                continue
-            sizes.append(len(cls))
-            if len(cls) * len(self.centralizer(x)) != self.order:
-                return ClassEquation(self.order, len(center), tuple(sorted(sizes)), False)
-        sizes = tuple(sorted(sizes))
-        holds = self.order == len(center) + sum(sizes)
-        return ClassEquation(self.order, len(center), sizes, holds)
-
     def profile(self) -> GroupProfile:
         """All group-side classification predicates, computed from the table."""
         n = self.order
         orders = [int(o) for o in self.element_orders]
         exponent = self.exponent
-        factors = prime_factors(n)
-        is_p = len(factors) == 1
-        count2 = sum(1 for o in orders if o == 2)
         return GroupProfile(
             order=n,
             is_abelian=self.is_abelian,
-            center_size=len(self.center()),
             exponent=exponent,
             is_full_exponent=exponent in orders,
-            is_p_group=is_p,
-            p_prime=factors[0] if is_p else None,
+            is_p_group=len(prime_factors(n)) == 1,
             is_prime_order=is_prime(n),
-            is_prime_power_order=is_p,
-            is_eppo=all(o == 1 or _is_prime_power(o) for o in orders),
             is_even_order=n % 2 == 0,
             all_nonidentity_self_inverse=exponent <= 2,
-            no_nonidentity_self_inverse=count2 == 0,
-            count_order_two=count2,
+            no_nonidentity_self_inverse=2 not in orders,
             is_cyclic=n in orders,
         )
 

@@ -22,13 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .connectivity import (
     edge_connectivity,
     local_edge_connectivity,
     local_vertex_connectivity,
     vertex_connectivity,
 )
-from .graphs import SimpleGraph, shape_profile
+from .graphs import SimpleGraph
 
 __all__ = [
     "MinimalityVerdict",
@@ -127,19 +129,21 @@ class DominatingVertexCriterion:
 
 def dominating_vertex_criterion(graph: SimpleGraph) -> DominatingVertexCriterion:
     """Evaluate the dominating-vertex shortcut, or report it inapplicable."""
-    shape = shape_profile(graph)
-    if shape.is_complete:
+    deg = graph.degrees()
+    dominating = tuple(int(v) for v in np.flatnonzero(deg == graph.n - 1))
+    if len(dominating) == graph.n:
         return DominatingVertexCriterion(applies=False, reason="graph is complete")
-    if not shape.dominating_vertices:
+    if not dominating:
         return DominatingVertexCriterion(applies=False, reason="no dominating vertex")
-    unique = len(shape.dominating_vertices) == 1
-    rest = graph.delete_vertex(shape.dominating_vertices[0])
-    degrees = rest.degrees()
-    rest_regular = bool(degrees.min() == degrees.max())
+    unique = len(dominating) == 1
+    x = dominating[0]
+    # degrees in G - x: drop x itself, and the edge to x from every other vertex
+    rest = np.delete(deg - graph.adjacency[x], x)
+    rest_regular = bool(rest.min() == rest.max())
     return DominatingVertexCriterion(
         applies=True,
         answer=unique and rest_regular,
         unique_dominating=unique,
         rest_regular=rest_regular,
-        dominating_vertices=shape.dominating_vertices,
+        dominating_vertices=dominating,
     )

@@ -132,10 +132,6 @@ class TestDeleteEdge:
         with pytest.raises(EdgeNotPresentError):
             path_graph(3).delete_edge(0, 2)
 
-    def test_delete_vertex(self):
-        g = star_graph(4).delete_vertex(0)
-        assert g.n == 3 and g.edge_count == 0
-
 
 class TestExports:
     def test_dot(self):
