@@ -52,12 +52,10 @@ from .families import (
     parse_group_spec,
 )
 from .graphs import (
-    EdgeNotPresentError,
     GraphShape,
     SimpleGraph,
     complete_graph,
     cycle_graph,
-    path_graph,
     shape_profile,
     star_graph,
     to_dot,
@@ -102,12 +100,10 @@ __all__ = [
     # graphs
     "SimpleGraph",
     "GraphShape",
-    "EdgeNotPresentError",
     "shape_profile",
     "complete_graph",
     "star_graph",
     "cycle_graph",
-    "path_graph",
     "to_dot",
     "to_edge_csv",
     # builders

@@ -16,26 +16,20 @@ import numpy as np
 __all__ = [
     "SimpleGraph",
     "GraphShape",
-    "EdgeNotPresentError",
     "shape_profile",
     "complete_graph",
     "star_graph",
     "cycle_graph",
-    "path_graph",
     "to_dot",
     "to_edge_csv",
 ]
 
 
-class EdgeNotPresentError(ValueError):
-    """Attempt to delete an edge the graph does not contain."""
-
-
 class SimpleGraph:
     """Loop-free undirected graph stored as a boolean adjacency matrix.
 
-    Immutable: edge deletion returns a fresh graph.  ``kind_tag`` records
-    which builder produced the graph, when any did.
+    Immutable.  ``kind_tag`` records which builder produced the graph, when
+    any did.
     """
 
     def __init__(self, adjacency: np.ndarray, kind_tag: Optional[str] = None):
@@ -54,15 +48,11 @@ class SimpleGraph:
         self.kind_tag = kind_tag
 
     @classmethod
-    def from_edges(
-        cls, n: int, edges: Iterable[tuple[int, int]], kind_tag: Optional[str] = None
-    ) -> "SimpleGraph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
         adj = np.zeros((n, n), dtype=bool)
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop edge ({u}, {v}) not allowed")
             adj[u, v] = adj[v, u] = True
-        return cls(adj, kind_tag=kind_tag)
+        return cls(adj)
 
     @cached_property
     def edge_list(self) -> tuple[tuple[int, int], ...]:
@@ -74,31 +64,12 @@ class SimpleGraph:
     def edge_count(self) -> int:
         return len(self.edge_list)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adjacency[u, v])
-
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
 
-    def delete_edge(self, u: int, v: int) -> "SimpleGraph":
-        """New graph with edge {u, v} removed; the original is untouched."""
-        if u == v or not self.adjacency[u, v]:
-            raise EdgeNotPresentError(f"edge ({u}, {v}) not present")
-        adj = self.adjacency.copy()
-        adj[u, v] = adj[v, u] = False
-        return SimpleGraph(adj, kind_tag=self.kind_tag)
-
     def is_connected(self) -> bool:
         """True iff a single search from vertex 0 reaches every vertex."""
-        if self.n <= 1:
-            return True
-        reached = np.zeros(self.n, dtype=bool)
-        reached[0] = True
-        frontier = reached.copy()
-        while frontier.any():
-            frontier = self.adjacency[frontier].any(axis=0) & ~reached
-            reached |= frontier
-        return bool(reached.all())
+        return bool((self.bfs_distances(0) >= 0).all())
 
     def bfs_distances(self, source: int) -> np.ndarray:
         """Hop distances from source; -1 marks unreachable vertices."""
@@ -124,12 +95,10 @@ class GraphShape:
 
     n: int
     min_degree: int
-    max_degree: int
     degree_sequence: tuple[int, ...]
     is_regular: bool
     is_complete: bool
     is_star: bool
-    star_center: Optional[int]
     dominating_vertices: tuple[int, ...]
     is_connected: bool
     diameter: Optional[int]
@@ -145,19 +114,13 @@ def shape_profile(graph: SimpleGraph) -> GraphShape:
     else:
         diameter = None
     dominating = tuple(int(v) for v in np.flatnonzero(deg == n - 1))
-    is_complete = len(dominating) == n
-    star_center = None
-    if n >= 2 and graph.edge_count == n - 1 and len(dominating) >= 1:
-        star_center = dominating[0]
     return GraphShape(
         n=n,
         min_degree=int(deg.min()),
-        max_degree=int(deg.max()),
         degree_sequence=tuple(sorted((int(d) for d in deg), reverse=True)),
         is_regular=bool(deg.min() == deg.max()),
-        is_complete=is_complete,
-        is_star=star_center is not None,
-        star_center=star_center,
+        is_complete=len(dominating) == n,
+        is_star=n >= 2 and graph.edge_count == n - 1 and bool(dominating),
         dominating_vertices=dominating,
         is_connected=connected,
         diameter=diameter,
@@ -168,12 +131,10 @@ def complete_graph(n: int) -> SimpleGraph:
     return SimpleGraph(~np.eye(n, dtype=bool))
 
 
-def star_graph(n: int, center: int = 0) -> SimpleGraph:
-    """Star on n vertices: center adjacent to all others, no other edges."""
+def star_graph(n: int) -> SimpleGraph:
+    """Star on n vertices: vertex 0 adjacent to all others, no other edges."""
     adj = np.zeros((n, n), dtype=bool)
-    adj[center, :] = True
-    adj[:, center] = True
-    adj[center, center] = False
+    adj[0, 1:] = adj[1:, 0] = True
     return SimpleGraph(adj)
 
 
@@ -181,10 +142,6 @@ def cycle_graph(n: int) -> SimpleGraph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
     return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> SimpleGraph:
-    return SimpleGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def to_dot(graph: SimpleGraph, labels: Optional[Sequence[str]] = None) -> str:

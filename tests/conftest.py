@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from groupgraphs import FamilySpec, build_family
+from groupgraphs import FamilySpec, SimpleGraph, build_family
 
 
 # --- raw-table group oracles -------------------------------------------------
@@ -33,6 +33,18 @@ def raw_inverse(table, i):
 
 
 # --- edge-set graph oracles --------------------------------------------------
+
+def path_graph(n):
+    return SimpleGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def without_edge(graph, u, v):
+    """G - uv, built from a copy of the adjacency matrix."""
+    adj = graph.adjacency.copy()
+    assert adj[u, v], f"({u}, {v}) is not an edge"
+    adj[u, v] = adj[v, u] = False
+    return SimpleGraph(adj)
+
 
 def edges_connected(n, edges):
     """Connectivity by plain DFS over an edge set."""
@@ -105,7 +117,7 @@ def brute_minimality(graph, connectivity_fn):
     if graph.n < 2 or not graph.is_connected():
         return False, (), {}
     base = connectivity_fn(graph)
-    values = {edge: connectivity_fn(graph.delete_edge(*edge)) for edge in graph.edge_list}
+    values = {edge: connectivity_fn(without_edge(graph, *edge)) for edge in graph.edge_list}
     violating = tuple(edge for edge, value in values.items() if value != base - 1)
     return not violating, violating, values
 

@@ -2,7 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The expensive full-corpus
 report is computed once per session and shared; criterion 8 performs the
-second, byte-comparison run itself.
+second, byte-comparison run itself.  Two further checks read the same report:
+the Halin-Mader degree conditions on every ``holds`` verdict, and the closed
+form that explains the order-sum discrepancy.
 """
 
 import json
@@ -20,12 +22,14 @@ from groupgraphs import (
     default_corpus,
     edge_connectivity,
     edge_connectivity_oracle,
+    parse_group_spec,
     run_corpus,
     vertex_connectivity,
     vertex_connectivity_oracle,
 )
 from groupgraphs.cli import _random_graph, _structured_cases
 from conftest import brute_edge_connectivity, brute_minimality, brute_vertex_connectivity
+from test_closed_forms import order_sum_form
 
 ORDER_CAP = 64
 ORACLE_N = 12
@@ -206,8 +210,6 @@ def test_criterion_6_theorem_characteristic_instances(full_run):
         (ClaimId.P_CP_FULL_EXP_IFF_P_GROUP, "dicyclic:2", "coprime", _oracle_backed_edge_holds),
         (ClaimId.P_CP_FULL_EXP_IFF_P_GROUP, "cyclic:6", "coprime", _oracle_backed_edge_holds),
     ]
-    from groupgraphs import parse_group_spec
-
     for claim, label, kind, oracle_fn in oracle_cases:
         group = build_family(parse_group_spec(label))
         assert group.order <= ORACLE_N
@@ -279,3 +281,71 @@ def test_criterion_8_determinism_and_runtime(full_run):
         f"ACCEPTANCE 8 (determinism + runtime): PASS: byte-identical reports; "
         f"first run {elapsed:.0f}s < 600s"
     )
+
+
+def _meets_halin_mader(graph, k):
+    """A minimally k-(edge-)connected graph has a vertex of degree k, and every
+    cycle holds one (Halin 1969; Mader 1971, 1972): the vertices of degree
+    > k induce a forest.  Reads degrees only, and finds cycles by union-find."""
+    deg = graph.degrees()
+    if not (deg == k).any():
+        return False
+    parent = list(range(graph.n))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in graph.edge_list:
+        if deg[u] > k and deg[v] > k:
+            ru, rv = root(u), root(v)
+            if ru == rv:
+                return False
+            parent[ru] = rv
+    return True
+
+
+def test_holds_verdicts_meet_halin_mader(full_run):
+    report, _ = full_run
+    groups = {}
+    checked = flagged = 0
+    for v in _claim_rows(report, ClaimId.L31_COMPLETE_STAR_MINIMAL):
+        if v.skipped is not None:
+            continue
+        if v.group_label not in groups:
+            groups[v.group_label] = build_family(parse_group_spec(v.group_label))
+        graph = build_graph(groups[v.group_label], v.kind)
+        for mode in ("edge_sweep", "vertex_sweep"):
+            if not v.details[f"{mode}_applicable"]:
+                continue
+            meets = _meets_halin_mader(graph, v.details[f"{mode}_base"])
+            if v.details[f"{mode}_holds"]:
+                assert meets, f"{v.group_label} [{v.kind}] {mode} holds against Halin-Mader"
+                checked += 1
+            else:
+                flagged += not meets
+    # the check has teeth: it would refuse many of the verdicts that do not hold
+    assert checked and flagged
+    print(
+        f"Halin-Mader: {checked} holds verdicts pass; {flagged} non-holding "
+        f"verdicts would fail it"
+    )
+
+
+def test_os_vertex_discrepancies_follow_the_closed_form(full_run):
+    report, _ = full_run
+    inconsistent = set()
+    for v in _claim_rows(report, ClaimId.T_OS_VERTEX_IFF_PRIME_POWER):
+        group = build_family(parse_group_spec(v.group_label))
+        assert v.lhs == (order_sum_form(group)[2] == ()), v.group_label
+        if not v.consistent:
+            inconsistent.add(v.group_label)
+    # holds iff cyclic of prime order, so the claim fails on exactly the
+    # groups of prime-power, non-prime order
+    expected = set()
+    for spec in default_corpus():
+        profile = build_family(spec).profile()
+        if profile.is_p_group and not profile.is_prime_order:
+            expected.add(spec.label())
+    assert inconsistent == expected

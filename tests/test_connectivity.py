@@ -15,12 +15,16 @@ from groupgraphs import (
     edge_connectivity_oracle,
     non_inverse_graph,
     order_sum_graph,
-    path_graph,
     star_graph,
     vertex_connectivity,
     vertex_connectivity_oracle,
 )
-from conftest import brute_edge_connectivity, brute_vertex_connectivity
+from conftest import (
+    brute_edge_connectivity,
+    brute_vertex_connectivity,
+    path_graph,
+    without_edge,
+)
 from test_graphs import small_graphs
 
 
@@ -165,7 +169,7 @@ def test_single_deletion_bounds(g, data):
     if not g.edge_list:
         return
     edge = data.draw(st.sampled_from(g.edge_list))
-    h = g.delete_edge(*edge)
+    h = without_edge(g, *edge)
     ke, kv = edge_connectivity(g), vertex_connectivity(g)
     assert ke - 1 <= edge_connectivity(h) <= ke
     assert kv - 1 <= vertex_connectivity(h) <= kv
